@@ -9,38 +9,67 @@ import "fmt"
 // increment of an array value" in the inner loop, part of ADM's measured
 // overhead.
 //
-// Exemplars are identified by stable global ids.
+// Exemplars are identified by stable, non-negative global ids. The flags
+// are a dense array indexed by id holding the iteration (epoch) in which
+// each exemplar was last processed: an exemplar is processed this
+// iteration exactly when its stamp equals the current epoch, so Reset is
+// one increment rather than a pass over the array.
 type Tracker struct {
-	processed map[int]bool
-	nDone     int
+	stamp []uint32
+	epoch uint32
+	nDone int
 }
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
-	return &Tracker{processed: make(map[int]bool)}
+	return &Tracker{epoch: 1}
 }
 
 // MarkProcessed records that exemplar id was processed this iteration. It
 // reports false if the exemplar had already been processed (the caller must
 // skip it — processing twice is the bug the tracker exists to prevent).
 func (t *Tracker) MarkProcessed(id int) bool {
-	if t.processed[id] {
+	if id >= len(t.stamp) {
+		t.grow(id)
+	}
+	if t.stamp[id] == t.epoch {
 		return false
 	}
-	t.processed[id] = true
+	t.stamp[id] = t.epoch
 	t.nDone++
 	return true
 }
 
+// grow extends the array to cover id: an absorbed fragment can carry ids
+// beyond any this slave has seen. Doubling keeps the copies amortised O(1).
+func (t *Tracker) grow(id int) {
+	n := 2 * len(t.stamp)
+	if n <= id {
+		n = id + 1
+	}
+	// lint:alloc growth to cover a newly absorbed id range; steady-state marks index in place
+	stamp := make([]uint32, n)
+	copy(stamp, t.stamp)
+	t.stamp = stamp
+}
+
 // Processed reports whether exemplar id was processed this iteration.
-func (t *Tracker) Processed(id int) bool { return t.processed[id] }
+func (t *Tracker) Processed(id int) bool {
+	return id < len(t.stamp) && t.stamp[id] == t.epoch
+}
 
 // Done returns how many exemplars have been processed this iteration.
 func (t *Tracker) Done() int { return t.nDone }
 
-// Reset clears the flags at an iteration boundary.
+// Reset clears the flags at an iteration boundary by advancing the epoch;
+// every older stamp then reads as unprocessed. Only when the epoch wraps
+// are the stamps zeroed, so a stamp from 2³² iterations ago cannot alias.
 func (t *Tracker) Reset() {
-	t.processed = make(map[int]bool)
+	t.epoch++
+	if t.epoch == 0 {
+		clear(t.stamp)
+		t.epoch = 1
+	}
 	t.nDone = 0
 }
 

@@ -183,6 +183,13 @@ func DefaultConfig() *Config {
 			"pvmigrate/internal/gs": {
 				"Fleet.beatShard", "Fleet.gossipRound", "Fleet.planShard",
 			},
+			// ADMopt's processed-exemplar tracker: the per-exemplar
+			// conditional and array store of paper §4.3.1, what
+			// TestTrackerSteadyStateZeroAlloc asserts. Growth to cover a
+			// newly absorbed id range is the one audited allocation.
+			"pvmigrate/internal/adm": {
+				"Tracker.MarkProcessed", "Tracker.Processed", "Tracker.Reset",
+			},
 			"pvmigrate/internal/wirefmt": {
 				"Append", "AppendAny", "OpenFrame",
 				"AppendBool", "AppendInt", "AppendInt64", "AppendUvarint",

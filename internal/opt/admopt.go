@@ -5,6 +5,7 @@ import (
 
 	"pvmigrate/internal/adm"
 	"pvmigrate/internal/core"
+	"pvmigrate/internal/errs"
 	"pvmigrate/internal/sim"
 )
 
@@ -451,6 +452,11 @@ type admSlave struct {
 	// (processed or skipped-as-processed), so chunk collection is O(chunk)
 	// instead of rescanning the whole shard.
 	cursor int
+	// chunk holds the shard indices of the chunk being processed; hid and
+	// out are the per-exemplar loss's forward-pass scratch (real mode).
+	// All three are reused across chunks and iterations.
+	chunk    []int
+	hid, out []float64
 }
 
 func (s *admSlave) run() error {
@@ -500,6 +506,8 @@ func (s *admSlave) run() error {
 				s.net.B1 = make([]float64, p.Hidden)
 				s.net.W2 = make([]float64, p.Classes*p.Hidden)
 				s.net.B2 = make([]float64, p.Classes)
+				s.hid = make([]float64, p.Hidden)
+				s.out = make([]float64, p.Classes)
 			}
 			s.net.SetFlat(flat)
 		}
@@ -540,38 +548,35 @@ func (s *admSlave) iterate() error {
 	for {
 		// Collect the next chunk of unprocessed exemplars, resuming the
 		// scan where the previous chunk left off.
-		var chunkIdx []int
-		for s.cursor < s.shard.Len() && len(chunkIdx) < s.ap.ChunkExemplars {
+		chunk := s.chunk[:0]
+		for s.cursor < s.shard.Len() && len(chunk) < s.ap.ChunkExemplars {
 			if !s.tracker.Processed(s.shard.IDs[s.cursor]) {
-				chunkIdx = append(chunkIdx, s.cursor)
+				chunk = append(chunk, s.cursor)
 			}
 			s.cursor++
 		}
-		if len(chunkIdx) == 0 {
+		s.chunk = chunk
+		if len(chunk) == 0 {
 			return nil
 		}
-		if err := s.vp.Compute(s.cost.GradientFlops(len(chunkIdx))); err != nil {
+		if err := s.vp.Compute(s.cost.GradientFlops(len(chunk))); err != nil {
 			return err
 		}
-		for _, i := range chunkIdx {
-			id := s.shard.IDs[i]
-			if !s.tracker.MarkProcessed(id) {
+		for _, i := range chunk {
+			if !s.tracker.MarkProcessed(s.shard.IDs[i]) {
 				continue
 			}
 			if s.ap.Real {
-				j := s.localIndexOf(id)
-				if j >= 0 {
-					s.net.AccumulateGradient(s.local, j, j+1, s.grad)
-					x, label := s.local.Exemplar(j)
-					hid := make([]float64, s.net.Hidden)
-					out := make([]float64, s.net.Classes)
-					s.net.forward(x, hid, out)
-					pr := out[label]
-					if pr < 1e-300 {
-						pr = 1e-300
-					}
-					s.partialLoss += -math.Log(pr)
+				// local's rows are parallel to shard.IDs: row i is
+				// exemplar IDs[i].
+				s.net.AccumulateGradient(s.local, i, i+1, s.grad)
+				x, label := s.local.Exemplar(i)
+				s.net.forward(x, s.hid, s.out)
+				pr := s.out[label]
+				if pr < 1e-300 {
+					pr = 1e-300
 				}
+				s.partialLoss += -math.Log(pr)
 			}
 		}
 		// The migration-event flag check (and any pending coordination).
@@ -606,18 +611,6 @@ func (s *admSlave) iterate() error {
 			}
 		}
 	}
-}
-
-func (s *admSlave) localIndexOf(id int) int {
-	if s.local == nil {
-		return -1
-	}
-	for j := 0; j < s.local.Len(); j++ {
-		if s.local.ID(j) == id {
-			return j
-		}
-	}
-	return -1
 }
 
 // participateRedist runs one redistribution round from a slave's
@@ -670,22 +663,11 @@ func (s *admSlave) participateRedist(requested bool) error {
 		if err != nil {
 			return err
 		}
-		op, _ := r.UpkString()
-		if op != "plan" {
+		if op, _ := r.UpkString(); op != "plan" {
 			continue
 		}
-		nMoves, _ := r.UpkInt()
-		for i := 0; i < nMoves; i++ {
-			from, _ := r.UpkInt()
-			to, _ := r.UpkInt()
-			cnt, _ := r.UpkInt()
-			moves = append(moves, adm.Move{From: from, To: to, Count: cnt})
-		}
-		for i := 0; i < len(s.peers); i++ {
-			inc, _ := r.UpkInt()
-			if i == s.rank {
-				expectIncoming = inc
-			}
+		if moves, expectIncoming, err = decodePlan(r, len(s.peers), s.rank); err != nil {
+			return err
 		}
 		break
 	}
@@ -709,9 +691,10 @@ func (s *admSlave) participateRedist(requested bool) error {
 			}
 		}
 		buf.PkFloat64s(ids).PkBytes(flags)
-		var shipped *ExemplarSet
 		if p.Real {
-			shipped = s.takeLocalByIDs(frag.IDs)
+			// local's rows are parallel to shard.IDs, so the fragment's
+			// data is local's tail, cut the way TakeFragment cut the ids.
+			shipped := s.local.TakeTail(frag.Len())
 			buf.PkFloat64s(shipped.features)
 			labels := make([]float64, shipped.Len())
 			for i, l := range shipped.labels {
@@ -733,43 +716,25 @@ func (s *admSlave) participateRedist(requested bool) error {
 		if err != nil {
 			return err
 		}
-		op, _ := r.UpkString()
-		if op != "frag" {
+		if op, _ := r.UpkString(); op != "frag" {
 			continue
 		}
-		cnt, _ := r.UpkInt()
-		bytes, _ := r.UpkVirtual()
-		ids, _ := r.UpkFloat64s()
-		flags, _ := r.UpkBytes()
-		frag := &adm.Shard{}
-		for i := range ids {
-			frag.IDs = append(frag.IDs, int(ids[i]))
-			frag.ProcessedFlags = append(frag.ProcessedFlags, flags[i] == 1)
+		frag, bytes, data, err := decodeFrag(r, p)
+		if err != nil {
+			return err
 		}
 		s.shard.Absorb(frag)
 		frag.SeedTracker(s.tracker)
-		if p.Real {
-			feats, _ := r.UpkFloat64s()
-			flabels, err := r.UpkFloat64s()
-			if err != nil {
+		if data != nil {
+			if err := s.local.Absorb(data); err != nil {
 				return err
 			}
-			labels := make([]int, len(flabels))
-			for i, f := range flabels {
-				labels[i] = int(f)
-			}
-			intIDs := make([]int, len(ids))
-			for i := range ids {
-				intIDs[i] = int(ids[i])
-			}
-			s.local.Absorb(&ExemplarSet{Dim: p.InputDim, Classes: p.Classes,
-				features: feats, labels: labels, ids: intIDs})
 		}
 		// Integration cost: merging the data and flag arrays.
 		if err := s.vp.Compute(float64(bytes) * s.ap.MergeFlopsPerByte); err != nil {
 			return err
 		}
-		received += cnt
+		received += frag.Len()
 	}
 	if err := s.vp.Send(s.master, TagADM, core.NewBuffer().PkString("redist-done")); err != nil {
 		return err
@@ -803,25 +768,102 @@ func (s *admSlave) participateRedist(requested bool) error {
 	return nil
 }
 
-func (s *admSlave) takeLocalByIDs(ids []int) *ExemplarSet {
-	out := &ExemplarSet{Dim: s.local.Dim, Classes: s.local.Classes}
-	keep := &ExemplarSet{Dim: s.local.Dim, Classes: s.local.Classes}
-	want := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		want[id] = true
+// CodeBadRedist classifies a malformed ADMopt redistribution message: a
+// "plan" or "frag" whose fields are missing, mistyped or disagree in length.
+const CodeBadRedist errs.Code = "opt.bad-redist"
+
+// decodePlan unpacks the body of a master's "plan" message (after its op
+// string): the moves, then one incoming-exemplar count per slave, of which
+// it returns rank's.
+func decodePlan(r *core.Reader, slaves, rank int) ([]adm.Move, int, error) {
+	nMoves, err := r.UpkInt()
+	if err != nil {
+		return nil, 0, errs.New(CodeBadRedist, "plan: move count", err)
 	}
-	for j := 0; j < s.local.Len(); j++ {
-		row, label := s.local.Exemplar(j)
-		dst := keep
-		if want[s.local.ID(j)] {
-			dst = out
+	if nMoves < 0 || nMoves > r.Remaining()/3 {
+		return nil, 0, errs.Newf(CodeBadRedist, "plan: %d moves in a %d-item body", nMoves, r.Remaining())
+	}
+	moves := make([]adm.Move, nMoves)
+	for i := range moves {
+		m := &moves[i]
+		for _, f := range []*int{&m.From, &m.To, &m.Count} {
+			if *f, err = r.UpkInt(); err != nil {
+				return nil, 0, errs.New(CodeBadRedist, "plan: move", err).AddContext("move", i)
+			}
 		}
-		dst.features = append(dst.features, row...)
-		dst.labels = append(dst.labels, label)
-		dst.ids = append(dst.ids, s.local.ID(j))
 	}
-	s.local = keep
-	return out
+	incoming := 0
+	for i := 0; i < slaves; i++ {
+		inc, err := r.UpkInt()
+		if err != nil {
+			return nil, 0, errs.New(CodeBadRedist, "plan: incoming count", err).AddContext("slave", i)
+		}
+		if i == rank {
+			incoming = inc
+		}
+	}
+	return moves, incoming, nil
+}
+
+// decodeFrag unpacks the body of a "frag" message (after its op string):
+// the exemplar count, the virtual payload size, one id and one processed
+// flag per exemplar, and in real mode the exemplars' features and labels.
+// Every length must agree with the count and every id must name an
+// exemplar of the training set; data is nil in cost-model mode.
+func decodeFrag(r *core.Reader, p Params) (frag *adm.Shard, bytes int, data *ExemplarSet, err error) {
+	bad := func(what string, cause error) (*adm.Shard, int, *ExemplarSet, error) {
+		return nil, 0, nil, errs.New(CodeBadRedist, "frag: "+what, cause)
+	}
+	cnt, err := r.UpkInt()
+	if err != nil {
+		return bad("count", err)
+	}
+	if bytes, err = r.UpkVirtual(); err != nil {
+		return bad("payload size", err)
+	}
+	ids, err := r.UpkFloat64s()
+	if err != nil {
+		return bad("ids", err)
+	}
+	flags, err := r.UpkBytes()
+	if err != nil {
+		return bad("flags", err)
+	}
+	if len(ids) != cnt || len(flags) != cnt {
+		return nil, 0, nil, errs.Newf(CodeBadRedist, "frag: %d ids and %d flags for %d exemplars",
+			len(ids), len(flags), cnt)
+	}
+	nEx := float64(p.NumExemplars())
+	frag = &adm.Shard{IDs: make([]int, cnt), ProcessedFlags: make([]bool, cnt)}
+	for i, id := range ids {
+		if !(id >= 0 && id < nEx) || id != math.Trunc(id) {
+			return nil, 0, nil, errs.Newf(CodeBadRedist, "frag: exemplar id %v outside [0, %v)", id, nEx)
+		}
+		frag.IDs[i] = int(id)
+		frag.ProcessedFlags[i] = flags[i] == 1
+	}
+	if !p.Real {
+		return frag, bytes, nil, nil
+	}
+	feats, err := r.UpkFloat64s()
+	if err != nil {
+		return bad("features", err)
+	}
+	flabels, err := r.UpkFloat64s()
+	if err != nil {
+		return bad("labels", err)
+	}
+	if len(feats) != cnt*p.InputDim || len(flabels) != cnt {
+		return nil, 0, nil, errs.Newf(CodeBadRedist, "frag: %d features and %d labels for %d exemplars of dim %d",
+			len(feats), len(flabels), cnt, p.InputDim)
+	}
+	labels := make([]int, cnt)
+	for i, f := range flabels {
+		labels[i] = int(f)
+	}
+	data = &ExemplarSet{Dim: p.InputDim, Classes: p.Classes,
+		features: feats, labels: labels, ids: frag.IDs}
+	return frag, bytes, data, nil
 }
 
 // waitDone parks an inactive (withdrawn) slave until the master finishes.
