@@ -162,7 +162,16 @@ type Result struct {
 
 	// Faults actually installed (time-ordered), for failure reports.
 	Faults []ft.Fault
+
+	k *sim.Kernel
 }
+
+// Close reclaims the run's kernel (sim.Kernel.Close): procs still parked
+// when the run stopped — daemons, heartbeat loops, an unfinished overlay —
+// exit instead of pinning the simulation in memory. Call it once the
+// checkers and any determinism re-run are done with the handles; the
+// unwound procs' deferred calls may still touch them. Idempotent.
+func (r *Result) Close() { r.k.Close() }
 
 // Fingerprint condenses the schedule-visible outcome of a run into a
 // comparable value: two runs of the same seed must produce equal
@@ -293,7 +302,7 @@ func Run(sc Scenario, cfg Config) *Result {
 	settleUntil := lastEvent + 3*mgr.Config().SuspectAfter
 
 	res := &Result{Scenario: sc.Name, Seed: cfg.Seed,
-		Sys: sys, Mgr: mgr, Sched: sched, Log: log, Faults: faults}
+		Sys: sys, Mgr: mgr, Sched: sched, Log: log, Faults: faults, k: k}
 	opts := opt.Params{Iterations: cfg.Iterations}
 	if cfg.Real {
 		opts.Real = true

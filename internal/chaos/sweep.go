@@ -10,8 +10,9 @@ import (
 // SeedReport condenses one audited schedule into the sweep's unit of
 // result: the seed, its determinism fingerprint, and the joined checker
 // verdict. It deliberately drops the Result's live handles (system,
-// manager, log) so a 200-seed sweep does not pin 200 finished simulations
-// in memory; reproduce a violation with `-run TestSeed -seed N` instead.
+// manager, log), and Sweep closes each run's kernel once audited, so a
+// 200-seed sweep does not pin 200 finished simulations in memory;
+// reproduce a violation with `-run TestSeed -seed N` instead.
 type SeedReport struct {
 	Scenario    string
 	Seed        uint64
@@ -64,6 +65,7 @@ func Sweep(sc Scenario, o SweepOptions) []SeedReport {
 	return sweep.Seeds(o.Seeds, o.Workers, func(seed uint64) SeedReport {
 		cfg := o.Config(seed)
 		res := Run(sc, cfg)
+		defer res.Close()
 		rep := SeedReport{
 			Scenario:    sc.Name,
 			Seed:        seed,
@@ -75,7 +77,9 @@ func Sweep(sc Scenario, o SweepOptions) []SeedReport {
 			return rep
 		}
 		if o.DeterminismEvery > 0 && seed%uint64(o.DeterminismEvery) == 0 {
-			if _, err := CheckDeterminism(sc, cfg, res); err != nil {
+			second, err := CheckDeterminism(sc, cfg, res)
+			second.Close()
+			if err != nil {
 				rep.Violation = err.Error()
 			}
 		}

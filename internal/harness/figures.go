@@ -46,6 +46,7 @@ func TraceUPVMMigration(sc Scenario) (*trace.Log, *Outcome) {
 func Figure2Layout(sc Scenario) (string, error) {
 	sc = sc.withDefaults()
 	k := sim.NewKernel()
+	defer k.Close()
 	cl := buildCluster(k, sc.Hosts, sc.Wire)
 	m := pvm.NewMachine(cl, pvm.Config{})
 	sys := upvm.New(m, upvm.Config{})
@@ -92,6 +93,7 @@ func Figure4FSM() string {
 func runMPVMWithSetup(sc Scenario, setup func(*sim.Kernel, *mpvm.System)) *Outcome {
 	// Rebuild RunMPVM inline so the hook can attach before any spawns.
 	k := sim.NewKernel()
+	defer k.Close()
 	cl := buildCluster(k, sc.Hosts, sc.Wire)
 	m := pvm.NewMachine(cl, pvm.Config{DirectRoute: sc.Direct})
 	sys := mpvm.New(m, mpvm.Config{})
@@ -134,6 +136,7 @@ func runMPVMWithSetup(sc Scenario, setup func(*sim.Kernel, *mpvm.System)) *Outco
 
 func runUPVMWithSetup(sc Scenario, setup func(*sim.Kernel, *upvm.System)) *Outcome {
 	k := sim.NewKernel()
+	defer k.Close()
 	cl := buildCluster(k, sc.Hosts, sc.Wire)
 	m := pvm.NewMachine(cl, pvm.Config{DirectRoute: sc.Direct})
 	sys := upvm.New(m, upvm.Config{})

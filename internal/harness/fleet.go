@@ -106,6 +106,7 @@ type FleetOutcome struct {
 func RunFleet(sc FleetScenario) *FleetOutcome {
 	sc = sc.WithDefaults()
 	k := sim.NewKernel()
+	defer k.Close()
 	specs := make([]cluster.HostSpec, sc.Hosts)
 	for i := range specs {
 		specs[i] = cluster.DefaultHostSpec(fmt.Sprintf("host%d", i+1))

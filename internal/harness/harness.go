@@ -4,6 +4,11 @@
 // suite, the cmd tools and the integration tests all drive experiments
 // through this package, so every table and figure is regenerated from the
 // same code paths.
+//
+// Every entry point closes its kernel (sim.Kernel.Close) on return, once its
+// outcome is complete: procs still parked when a run ends — daemons,
+// skeletons, servers waiting on requests that never come — are reclaimed
+// instead of pinning the whole simulation in memory.
 package harness
 
 import (
@@ -195,6 +200,7 @@ func (sc Scenario) applyBackgroundLoad(cl *cluster.Cluster) {
 func RunPVM(sc Scenario) *Outcome {
 	sc = sc.withDefaults()
 	k := sim.NewKernel()
+	defer k.Close()
 	cl := buildCluster(k, sc.Hosts, sc.Wire)
 	sc.applyBackgroundLoad(cl)
 	m := pvm.NewMachine(cl, pvm.Config{DirectRoute: sc.Direct})
@@ -239,6 +245,7 @@ func RunPVM(sc Scenario) *Outcome {
 func runPVMWithParams(sc Scenario, p opt.Params) *Outcome {
 	sc = sc.withDefaults()
 	k := sim.NewKernel()
+	defer k.Close()
 	cl := buildCluster(k, sc.Hosts, sc.Wire)
 	sc.applyBackgroundLoad(cl)
 	m := pvm.NewMachine(cl, pvm.Config{DirectRoute: sc.Direct})
@@ -280,6 +287,7 @@ func runPVMWithParams(sc Scenario, p opt.Params) *Outcome {
 func RunMPVM(sc Scenario) *Outcome {
 	sc = sc.withDefaults()
 	k := sim.NewKernel()
+	defer k.Close()
 	cl := buildCluster(k, sc.Hosts, sc.Wire)
 	sc.applyBackgroundLoad(cl)
 	m := pvm.NewMachine(cl, pvm.Config{DirectRoute: sc.Direct})
@@ -332,6 +340,7 @@ func RunMPVM(sc Scenario) *Outcome {
 func RunMPVMPlan(sc Scenario, evacHost int, mode plan.Mode, concurrency int) (*Outcome, *plan.Result) {
 	sc = sc.withDefaults()
 	k := sim.NewKernel()
+	defer k.Close()
 	cl := buildCluster(k, sc.Hosts, sc.Wire)
 	sc.applyBackgroundLoad(cl)
 	m := pvm.NewMachine(cl, pvm.Config{DirectRoute: sc.Direct})
@@ -384,6 +393,7 @@ func RunMPVMPlan(sc Scenario, evacHost int, mode plan.Mode, concurrency int) (*O
 func RunUPVM(sc Scenario) *Outcome {
 	sc = sc.withDefaults()
 	k := sim.NewKernel()
+	defer k.Close()
 	cl := buildCluster(k, sc.Hosts, sc.Wire)
 	sc.applyBackgroundLoad(cl)
 	m := pvm.NewMachine(cl, pvm.Config{DirectRoute: sc.Direct})
@@ -446,6 +456,7 @@ func RunUPVM(sc Scenario) *Outcome {
 func RunADM(sc Scenario) *Outcome {
 	sc = sc.withDefaults()
 	k := sim.NewKernel()
+	defer k.Close()
 	cl := buildCluster(k, sc.Hosts, sc.Wire)
 	sc.applyBackgroundLoad(cl)
 	m := pvm.NewMachine(cl, pvm.Config{DirectRoute: sc.Direct})
@@ -505,6 +516,7 @@ func RunADM(sc Scenario) *Outcome {
 // Table 2's lower-bound column.
 func RawTCP(bytes int) sim.Time {
 	k := sim.NewKernel()
+	defer k.Close()
 	cl := buildCluster(k, 2, nil)
 	l, err := cl.Host(1).Iface().Listen(9000)
 	if err != nil {
@@ -540,6 +552,7 @@ func RawTCP(bytes int) sim.Time {
 func OwnerReclaimScenario(sc Scenario, ownerHost int, ownerAt sim.Time) (*Outcome, []gs.Decision) {
 	sc = sc.withDefaults()
 	k := sim.NewKernel()
+	defer k.Close()
 	cl := buildCluster(k, sc.Hosts, sc.Wire)
 	sc.applyBackgroundLoad(cl)
 	m := pvm.NewMachine(cl, pvm.Config{DirectRoute: sc.Direct})

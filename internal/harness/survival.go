@@ -100,6 +100,7 @@ type SurvivalOutcome struct {
 func Survival(cfg SurvivalConfig) *SurvivalOutcome {
 	cfg = cfg.withDefaults()
 	k := sim.NewKernel()
+	defer k.Close()
 	cl := buildCluster(k, cfg.Hosts, nil)
 	m := pvm.NewMachine(cl, pvm.Config{})
 	sys := mpvm.New(m, mpvm.Config{})

@@ -164,13 +164,15 @@ func DefaultConfig() *Config {
 			},
 		},
 		AllocHot: map[string][]string{
-			// The kernel schedule/dispatch path: what
-			// BenchmarkKernelScheduleDispatch (BENCH_KERNEL.json) asserts
+			// The kernel schedule/dispatch path and the proc wake path:
+			// what BenchmarkKernelScheduleDispatch, BenchmarkProcContextSwitch
+			// (BENCH_KERNEL.json) and TestYieldSleepZeroAlloc assert
 			// allocates zero per op.
 			"pvmigrate/internal/sim": {
 				"Kernel.Schedule", "Kernel.ScheduleAt", "Kernel.scheduleAt",
 				"Kernel.scheduleWake", "Kernel.scheduleWakeTimer",
 				"Kernel.run", "Kernel.dispatch",
+				"Proc.block", "Proc.Sleep", "Proc.Yield",
 			},
 			// The encode path and the scalar decode helpers: what
 			// TestAppendZeroAlloc asserts. The slice/string readers and

@@ -236,7 +236,8 @@ func runQueueHandoff(n int) benchStat {
 var baselineOnce sync.Once
 
 // BenchmarkKernelBaseline measures the full hot-path suite and writes the
-// snapshot to BENCH_KERNEL.json (or $BENCH_KERNEL_OUT). CI runs it as a
+// snapshot to BENCH_KERNEL.json (or $BENCH_KERNEL_OUT). It is also a gate:
+// it fails when any measured allocs_per_op is not 0. CI runs it as a
 // smoke step via `go test -bench=Kernel -benchtime=100x ./internal/sim`
 // and uploads the file as an artifact; the committed repo-root
 // BENCH_KERNEL.json is the long-form baseline. The op counts are fixed —
@@ -265,5 +266,20 @@ func BenchmarkKernelBaseline(b *testing.B) {
 			b.Fatalf("write %s: %v", out, err)
 		}
 		b.Logf("kernel baseline written to %s: %s", out, data)
+		// The hot-path contract is a gate, not just a figure: any steady-state
+		// allocation fails the run (the snapshot above still records it).
+		for _, g := range []struct {
+			name string
+			st   benchStat
+		}{
+			{"event_throughput", base.EventThroughput},
+			{"schedule_dispatch", base.ScheduleDispatch},
+			{"context_switch", base.ContextSwitch},
+			{"queue_handoff", base.QueueHandoff},
+		} {
+			if g.st.AllocsPerOp != 0 {
+				b.Errorf("%s: %d allocs/op, want 0 (DESIGN.md §7)", g.name, g.st.AllocsPerOp)
+			}
+		}
 	})
 }

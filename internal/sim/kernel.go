@@ -84,6 +84,9 @@ type Kernel struct {
 	procs   []*Proc
 	nextPID int
 	stopped bool
+	inRun   bool // an event loop (Run/RunUntil) is on the stack
+	closing bool // Close is unwinding the procs: blocking calls panic
+	closed  bool // Close has reclaimed the procs; the kernel is spent
 
 	// Cancel-cell pool. freeCells is the free list; in steady state every
 	// schedule/pop pair recycles a cell and neither slice grows.
@@ -283,6 +286,11 @@ func (k *Kernel) RunUntil(deadline Time) int {
 }
 
 func (k *Kernel) run(deadline Time) int {
+	if k.closed {
+		panic("sim: Run on a closed kernel")
+	}
+	k.inRun = true
+	defer k.endRun() // also on a proc panic, so a recovered kernel can still Close
 	k.stopped = false
 	for len(k.events) > 0 && !k.stopped {
 		if deadline >= 0 && k.events[0].at > deadline {
@@ -308,22 +316,60 @@ func (k *Kernel) run(deadline Time) int {
 	return k.blockedCount()
 }
 
-// dispatch resumes p and waits until it blocks again or finishes. Kernel
-// and proc hand control back and forth over the proc's single unbuffered
-// handoff channel; at most one of the two is ever runnable between the
-// rendezvous points, so the schedule stays deterministic.
+func (k *Kernel) endRun() { k.inRun = false }
+
+// dispatch resumes p and waits until it blocks again or finishes. The
+// proc runs on a coroutine (its worker): resume switches straight to the
+// worker's goroutine and the proc's next block switches straight back, so
+// exactly one of the two is ever runnable and the schedule stays
+// deterministic.
 func (k *Kernel) dispatch(p *Proc) {
 	k.running = p
 	p.state = pRunning
-	p.hand <- struct{}{}
-	<-p.hand
-	k.running = nil
-	if p.panicked != nil {
-		panic(fmt.Sprintf("sim: proc %q panicked: %v", p.name, p.panicked)) // lint:alloc panic path, simulation is already dead
+	if p.w == nil {
+		p.w = takeWorker(p)
 	}
+	p.w.resume()
+	k.running = nil
 	if p.state == pDone {
+		p.w.release()
+		p.w = nil
+		if p.panicked != nil {
+			panic(fmt.Sprintf("sim: proc %q panicked: %v", p.name, p.panicked)) // lint:alloc panic path, simulation is already dead
+		}
 		p.doneCond.Broadcast()
 	}
+}
+
+// Close reclaims every proc that has not finished — parked on a blocking
+// call, or spawned and never dispatched — so nothing stays blocked pinning
+// the simulation's memory, and their workers return to the pool. A parked
+// proc is resumed once more and its blocking call unwinds the body:
+// deferred calls run (in the proc's context; a blocking call made there
+// unwinds at once), and any event they schedule is dropped. A proc never
+// dispatched does not run at all. The kernel is then spent: Run, RunUntil
+// and Spawn panic. Close is idempotent and panics when called from inside
+// Run (an event callback or a proc body).
+func (k *Kernel) Close() {
+	if k.closed {
+		return
+	}
+	if k.inRun {
+		panic("sim: Close called during Run")
+	}
+	k.closing = true
+	// Deferred calls may spawn procs; the loop reclaims those too.
+	for i := 0; i < len(k.procs); i++ {
+		switch p := k.procs[i]; {
+		case p.state == pDone:
+		case p.w == nil:
+			p.state = pDone // never dispatched: the body does not run
+		default:
+			k.dispatch(p)
+		}
+	}
+	k.events = nil
+	k.closed = true
 }
 
 func (k *Kernel) blockedCount() int {

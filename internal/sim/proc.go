@@ -1,8 +1,15 @@
+//go:build go1.23
+
 package sim
 
+// The go1.23 build constraint above raises this file's language version
+// past go.mod's go 1.22 (kept so the nested perfbench module builds
+// without a go.mod rewrite): iter.Pull first shipped in Go 1.23.
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"sync"
 )
 
 type procState int
@@ -35,20 +42,17 @@ func IsInterrupted(err error) (*Interrupted, bool) {
 	return nil, false
 }
 
-// Proc is a simulated thread of control. Its body function runs on a
-// dedicated goroutine, but the kernel guarantees that at most one proc
-// executes at a time, so proc code needs no locking when touching shared
-// simulation state.
+// Proc is a simulated thread of control. Its body runs on a runtime
+// coroutine (a worker, below), and the kernel guarantees that at most one
+// proc executes at a time, so proc code needs no locking when touching
+// shared simulation state.
 type Proc struct {
-	k     *Kernel
-	id    int
-	name  string
-	state procState
-	gen   uint64 // increments around every block; stale wakes are dropped
-	// hand is the proc's single reusable handoff channel: the kernel sends
-	// to resume the proc, the proc sends to yield back. Unbuffered, so each
-	// hand-over is a rendezvous and the two sides strictly alternate.
-	hand     chan struct{}
+	k        *Kernel
+	id       int
+	name     string
+	state    procState
+	gen      uint64  // increments around every block; stale wakes are dropped
+	w        *worker // bound at the first dispatch, released when the body ends
 	body     func(*Proc)
 	panicked any
 	doneCond *Cond
@@ -65,33 +69,106 @@ func (k *Kernel) Spawn(name string, body func(*Proc)) *Proc {
 }
 
 // SpawnAt creates a proc that starts at the given absolute virtual time.
+// Spawning on a closed kernel panics.
 func (k *Kernel) SpawnAt(at Time, name string, body func(*Proc)) *Proc {
+	if k.closed {
+		panic(fmt.Sprintf("sim: Spawn of proc %q on a closed kernel", name))
+	}
 	k.nextPID++
 	p := &Proc{
 		k:     k,
 		id:    k.nextPID,
 		name:  name,
 		state: pBlocked,
-		hand:  make(chan struct{}),
 		body:  body,
 	}
 	p.doneCond = NewCond(k)
 	k.procs = append(k.procs, p)
-	go p.main()
 	k.scheduleWake(p, at, p.gen)
 	return p
 }
 
-func (p *Proc) main() {
-	<-p.hand // first dispatch
+// reclaimed is the panic value block raises when Kernel.Close resumes a
+// parked proc. It unwinds the body, running its deferred calls, and run
+// recovers it.
+type reclaimed struct{}
+
+// run executes the body on the proc's worker, recording a panic for
+// dispatch to re-raise on the kernel's side.
+func (p *Proc) run() {
 	defer func() {
-		if r := recover(); r != nil {
+		if r := recover(); r != nil && r != any(reclaimed{}) {
 			p.panicked = r
 		}
 		p.state = pDone
-		p.hand <- struct{}{}
 	}()
 	p.body(p)
+}
+
+// worker is a runtime coroutine (iter.Pull) that runs proc bodies, one at
+// a time. resume, called by the kernel, runs the bound proc until it
+// blocks or its body ends; yield, called by the proc, hands control back.
+// Each switch goes straight from one goroutine to the other, bypassing the
+// Go scheduler.
+//
+// A proc takes a worker at its first dispatch and hands it back when its
+// body ends (returns, panics, or is unwound by Kernel.Close), so workers
+// are reused across procs and kernels and a coroutine is never destroyed.
+// That matters under the race detector, which keeps a finished
+// coroutine's state for the life of the process: with one coroutine per
+// proc, a -race chaos sweep grew by ~38 MB per seed.
+type worker struct {
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	p      *Proc // the bound proc, set before its first resume
+}
+
+// idleWorkers is the process-wide pool of workers between procs. Kernels
+// on different goroutines (parallel sweeps) share it, hence the lock;
+// workers carry no simulation state, so which one a proc gets never
+// changes a result. The pool holds at most as many workers as procs were
+// ever bound at once.
+var idleWorkers struct {
+	sync.Mutex
+	ws []*worker
+}
+
+// takeWorker binds an idle worker to p, starting a new one when none is
+// idle.
+func takeWorker(p *Proc) *worker {
+	var w *worker
+	idleWorkers.Lock()
+	if n := len(idleWorkers.ws); n > 0 {
+		w = idleWorkers.ws[n-1]
+		idleWorkers.ws[n-1] = nil
+		idleWorkers.ws = idleWorkers.ws[:n-1]
+	}
+	idleWorkers.Unlock()
+	if w == nil {
+		w = &worker{} // lint:alloc pool miss, once per concurrently bound proc
+		// The coroutine never ends, so its stop function is not kept.
+		w.resume, _ = iter.Pull(w.loop)
+	}
+	w.p = p
+	return w
+}
+
+// release returns the worker to the idle pool once its proc's body ended.
+func (w *worker) release() {
+	w.p = nil
+	idleWorkers.Lock()
+	idleWorkers.ws = append(idleWorkers.ws, w)
+	idleWorkers.Unlock()
+}
+
+// loop is the worker's coroutine body: run the bound proc's body, hand
+// control back to the kernel, and wait to be bound and resumed again.
+func (w *worker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	for {
+		w.p.run()
+		yield(struct{}{})
+	}
 }
 
 // Kernel returns the kernel this proc belongs to.
@@ -117,15 +194,20 @@ func (p *Proc) Done() bool { return p.state == pDone }
 // recycled), so the unconditional Cancel below is safe.
 func (p *Proc) block(wake Timer) error {
 	if p.k.running != p {
-		panic(fmt.Sprintf("sim: blocking call on proc %q from outside its own context", p.name))
+		panic(fmt.Sprintf("sim: blocking call on proc %q from outside its own context", p.name)) // lint:alloc panic path, a caller bug
+	}
+	if p.k.closing {
+		panic(reclaimed{}) // Kernel.Close is unwinding this proc
 	}
 	if p.intrPending && !p.intrMasked {
 		wake.Cancel()
 		return p.takeInterrupt()
 	}
 	p.state = pBlocked
-	p.hand <- struct{}{}
-	<-p.hand
+	p.w.yield(struct{}{})
+	if p.k.closing {
+		panic(reclaimed{}) // resumed by Kernel.Close: unwind the body
+	}
 	p.gen++ // any wake events targeting the old generation are now stale
 	wake.Cancel()
 	if p.intrPending && !p.intrMasked {
@@ -138,7 +220,7 @@ func (p *Proc) takeInterrupt() error {
 	reason := p.intrReason
 	p.intrPending = false
 	p.intrReason = nil
-	return &Interrupted{Reason: reason}
+	return &Interrupted{Reason: reason} // lint:alloc one per delivered signal, off the steady wake path
 }
 
 // Sleep suspends the proc for d of virtual time. It returns nil when the
